@@ -4,7 +4,7 @@
 //! fresh-color repair, parameterized by partition size and DC density).
 
 use cextend_bench::dcdense_largest_partition;
-use cextend_core::conflict::{build_conflict_graph, ConflictBuilder};
+use cextend_core::conflict::ConflictBuilder;
 use cextend_hypergraph::{
     color_skipped_with_fresh, coloring_lf, exact_list_coloring, CandidateLists, Color, Coloring,
     Hypergraph,
@@ -46,11 +46,8 @@ fn bench_greedy(c: &mut Criterion) {
 }
 
 /// Greedy + fresh-color completion on the conflict graph of the largest
-/// `(Room, Shift)` partition of a generated dcdense view, one arm per DC
-/// planner (`static` vs `cost` — the planners must produce identical edge
-/// sets, so any timing gap is graph-layout noise and a divergence is a
-/// correctness bug this bench trips on). Candidate colors are the
-/// partition's slots, as in Algorithm 4.
+/// `(Room, Shift)` partition of a generated dcdense view. Candidate colors
+/// are the partition's slots, as in Algorithm 4.
 fn bench_dcdense_coloring(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring");
     group.sample_size(10);
@@ -64,25 +61,16 @@ fn bench_dcdense_coloring(c: &mut Criterion) {
                 .filter(|&&r| view.get(r, kind) == Some(cextend_table::Value::str("Anchor")))
                 .count();
             let colors: Vec<Color> = (0..n_cand as Color).collect();
-            let g_static = build_conflict_graph(&view, &rows, &dcs);
-            let g_cost = ConflictBuilder::new_cost(&dcs, &view, rows.len()).build(&view, &rows);
-            assert_eq!(
-                g_static.n_edges(),
-                g_cost.n_edges(),
-                "planners must agree before coloring is timed"
-            );
-            for (planner, g) in [("static", &g_static), ("cost", &g_cost)] {
-                let id = format!("p{}_{density}_e{}_{planner}", rows.len(), g.n_edges());
-                group.bench_with_input(BenchmarkId::from_parameter(id), g, |b, g| {
-                    b.iter(|| {
-                        let mut coloring = Coloring::new(g.n_vertices());
-                        let skipped =
-                            coloring_lf(g, &mut coloring, &CandidateLists::Shared(&colors));
-                        color_skipped_with_fresh(g, &mut coloring, &skipped, n_cand as Color);
-                        coloring
-                    })
-                });
-            }
+            let g = ConflictBuilder::new_cost(&dcs, &view, rows.len()).build(&view, &rows);
+            let id = format!("p{}_{density}_e{}", rows.len(), g.n_edges());
+            group.bench_with_input(BenchmarkId::from_parameter(id), &g, |b, g| {
+                b.iter(|| {
+                    let mut coloring = Coloring::new(g.n_vertices());
+                    let skipped = coloring_lf(g, &mut coloring, &CandidateLists::Shared(&colors));
+                    color_skipped_with_fresh(g, &mut coloring, &skipped, n_cand as Color);
+                    coloring
+                })
+            });
         }
     }
     group.finish();

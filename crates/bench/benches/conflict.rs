@@ -1,16 +1,15 @@
 //! Micro-benchmarks for Phase II's conflict-hypergraph construction.
 //!
-//! `conflict_build` measures the indexed builder (`cextend_core::conflict`)
-//! under both DC planners — `static` (the PR 5 hints) and `cost` (sampled
-//! statistics + bulk pair emission) — head to head against the retained
-//! naive `O(|P|^k)` enumeration on real `dcdense` partitions, parameterized
+//! `conflict_build` measures the cost-planned builder
+//! (`cextend_core::conflict`) head to head against the naive `O(|P|^k)`
+//! reference enumeration on real `dcdense` partitions, parameterized
 //! by partition size (scale label) and DC density (`good` = anchored gap
 //! rows only, `all` = + Anchor cliques + the ternary `nae-track` row).
 //! `dc_error_scan` keeps the original edge-enumeration macro cost (the
 //! metric runs the same builder).
 
 use cextend_bench::{dcdense_largest_partition, ExperimentOpts};
-use cextend_core::conflict::{build_conflict_graph, build_conflict_graph_naive, ConflictBuilder};
+use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::metrics::dc_error;
 use cextend_workloads::DcSet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,31 +21,24 @@ fn bench_conflict_build(c: &mut Criterion) {
         for (density, set) in [("good", DcSet::Good), ("all", DcSet::All)] {
             let (view, rows, dcs) = dcdense_largest_partition(label, set);
             let p = rows.len();
-            let static_edges = build_conflict_graph(&view, &rows, &dcs).n_edges();
+            let edges = build_conflict_graph_naive(&view, &rows, &dcs).n_edges();
             assert_eq!(
-                static_edges,
+                edges,
                 ConflictBuilder::new_cost(&dcs, &view, rows.len())
                     .build(&view, &rows)
                     .n_edges(),
-                "planners must agree before being timed"
-            );
-            assert_eq!(
-                static_edges,
-                build_conflict_graph_naive(&view, &rows, &dcs).n_edges(),
                 "builders must agree before being timed"
             );
-            for builder in ["static", "cost", "naive"] {
+            for builder in ["cost", "naive"] {
                 let id = format!("p{p}_{density}_{builder}");
                 group.bench_with_input(BenchmarkId::from_parameter(id), &view, |b, view| {
                     b.iter(|| {
-                        let g = match builder {
-                            "static" => build_conflict_graph(view, &rows, &dcs),
-                            "cost" => {
-                                ConflictBuilder::new_cost(&dcs, view, rows.len()).build(view, &rows)
-                            }
-                            _ => build_conflict_graph_naive(view, &rows, &dcs),
+                        let g = if builder == "cost" {
+                            ConflictBuilder::new_cost(&dcs, view, rows.len()).build(view, &rows)
+                        } else {
+                            build_conflict_graph_naive(view, &rows, &dcs)
                         };
-                        assert_eq!(g.n_edges(), static_edges);
+                        assert_eq!(g.n_edges(), edges);
                         g
                     })
                 });

@@ -15,8 +15,9 @@ experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
                    both modes produce bit-identical relations)
              fuzz-spec (generates --iters random well-typed workload specs
                    and runs each through the differential oracles:
-                   indexed ≡ naive conflict builder and serial ≡ parallel
-                   scheduler bit-identity; fails on any divergence)
+                   conflict builder ≡ naive edge sets and serial ≡
+                   parallel scheduler and Phase 1 bit-identity; fails on
+                   any divergence)
              spec-check (parses + statically checks every spec under
                    specs/, and asserts every specs/bad/*.spec is rejected)
              scale (paper-scale runs: census at 40x and dcdense at 62.5x —
@@ -52,18 +53,12 @@ options:
   --scheduler M      step scheduler for chain solves: serial (default) or
                      parallel (independent steps run concurrently;
                      bit-identical results under a fixed seed)
-  --conflict B       conflict-hypergraph builder: indexed (default) or
-                     naive (the retained O(|P|^k) baseline; identical
-                     output, build cost only — for A/B measurement)
-  --dcplan P         DC planner for the indexed builder: cost (default;
-                     sampled-statistics planning, bulk clique emission,
-                     per-partition index-kind choice) or static (the PR 5
-                     hints; identical output — the measured oracle)
   --phase1 M         Phase 1 mode: serial (default) or parallel (shards
                      Algorithm 2 bitmap passes, leftover grouping and
                      per-shard RNG completion across CEXTEND_SCHED_WORKERS;
                      bit-identical results for any worker count)
-  --scale-factor F   multiply the workload's scale labels by F (default 0.02)
+  --scale-factor F   multiply the workload's scale labels by F, a finite
+                     number > 0 (default 0.02)
   --paper-scale      shorthand for --scale-factor 1.0 (hours of runtime!)
   --n-ccs N          CC-set size (default 150; the paper uses 1001)
   --knob NAME=V      workload-owned generator knob (census: areas; retail &
@@ -71,7 +66,7 @@ options:
                      max-group; dcdense: tracks, rooms, max-group);
                      repeatable
   --n-areas N        alias for --knob areas=N (census)
-  --runs R           independent runs to average (default 3)
+  --runs R           independent runs to average, at least 1 (default 3)
   --seed S           base RNG seed (default 7)
   --iters N          fuzz-spec iterations (default 25)
   --out DIR          write JSON snapshots to DIR
@@ -114,9 +109,15 @@ fn parse(args: &[String]) -> Result<(Vec<String>, ExperimentOpts), String> {
                 opts.workload = name;
             }
             "--scale-factor" => {
-                opts.scale_factor = take("--scale-factor")?
+                let f: f64 = take("--scale-factor")?
                     .parse()
-                    .map_err(|e| format!("bad --scale-factor: {e}"))?
+                    .map_err(|e| format!("bad --scale-factor: {e}"))?;
+                if !(f.is_finite() && f > 0.0) {
+                    return Err(format!(
+                        "bad --scale-factor `{f}`: must be a finite number > 0"
+                    ));
+                }
+                opts.scale_factor = f;
             }
             "--paper-scale" => opts.scale_factor = 1.0,
             "--n-ccs" => {
@@ -143,7 +144,10 @@ fn parse(args: &[String]) -> Result<(Vec<String>, ExperimentOpts), String> {
             "--runs" => {
                 opts.runs = take("--runs")?
                     .parse()
-                    .map_err(|e| format!("bad --runs: {e}"))?
+                    .map_err(|e| format!("bad --runs: {e}"))?;
+                if opts.runs == 0 {
+                    return Err("bad --runs `0`: must be at least 1".to_owned());
+                }
             }
             "--seed" => {
                 opts.seed = take("--seed")?
@@ -159,16 +163,6 @@ fn parse(args: &[String]) -> Result<(Vec<String>, ExperimentOpts), String> {
                 let mode = take("--scheduler")?;
                 opts.scheduler = cextend_core::SchedulerMode::parse(&mode)
                     .ok_or_else(|| format!("bad --scheduler `{mode}`: serial or parallel"))?;
-            }
-            "--conflict" => {
-                let kind = take("--conflict")?;
-                opts.conflict = cextend_core::ConflictBuilderKind::parse(&kind)
-                    .ok_or_else(|| format!("bad --conflict `{kind}`: indexed or naive"))?;
-            }
-            "--dcplan" => {
-                let kind = take("--dcplan")?;
-                opts.dcplan = cextend_core::DcPlannerKind::parse(&kind)
-                    .ok_or_else(|| format!("bad --dcplan `{kind}`: cost or static"))?;
             }
             "--phase1" => {
                 opts.parallel_phase1 = match take("--phase1")?.as_str() {
@@ -270,4 +264,33 @@ fn main() -> ExitCode {
         narrate!("[{id} finished in {:?}]\n", start.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn scale_factor_must_be_finite_and_positive() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "0", "-0.5"] {
+            let err = parse(&args(&["table1", "--scale-factor", bad])).unwrap_err();
+            assert!(err.contains("--scale-factor"), "{bad}: {err}");
+        }
+        let err = parse(&args(&["table1", "--scale-factor", "x"])).unwrap_err();
+        assert!(err.contains("bad --scale-factor"), "{err}");
+        let (_, opts) = parse(&args(&["table1", "--scale-factor", "0.005"])).unwrap();
+        assert_eq!(opts.scale_factor, 0.005);
+    }
+
+    #[test]
+    fn runs_must_be_at_least_one() {
+        let err = parse(&args(&["table1", "--runs", "0"])).unwrap_err();
+        assert!(err.contains("--runs"), "{err}");
+        let (_, opts) = parse(&args(&["table1", "--runs", "1"])).unwrap();
+        assert_eq!(opts.runs, 1);
+    }
 }

@@ -8,11 +8,9 @@
 //! 4. **Marginal augmentation** — already visible in Figures 8/10 via the
 //!    two baselines; here HasseOnly shows what dropping the ILP entirely
 //!    costs on a bad CC set.
-//! 5. **Conflict builder** — the indexed fast path vs the retained naive
-//!    `O(|P|^k)` enumeration: identical output, Phase II build cost only.
 
 use crate::harness::{fmt_err, fmt_s, run_averaged, ExperimentOpts, Table};
-use cextend_core::{ColoringMode, ConflictBuilderKind, IlpSettings, Phase1Strategy, SolverConfig};
+use cextend_core::{ColoringMode, IlpSettings, Phase1Strategy, SolverConfig};
 use cextend_workloads::{CcFamily, DcSet};
 
 /// Runs all ablations.
@@ -48,14 +46,6 @@ pub fn run(opts: &ExperimentOpts) {
             "good",
             SolverConfig {
                 coloring: ColoringMode::Exact { max_steps: 200_000 },
-                ..SolverConfig::hybrid()
-            },
-        ),
-        (
-            "naive conflict builder",
-            "good",
-            SolverConfig {
-                conflict: ConflictBuilderKind::Naive,
                 ..SolverConfig::hybrid()
             },
         ),

@@ -21,7 +21,7 @@
 //! | `perf-trend` | per-record wall-time trend table over the accumulated `BENCH_history.jsonl` lines (+ markdown when `--out` is set) |
 //! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) with sharded Phase II; merges a wall + peak-RSS `scale` section into `BENCH_perf.json` |
 //! | `profile` | one traced chain run → `<out>/trace.json` (Chrome Trace Event Format, opens in Perfetto) + per-stage self-time table cross-checked against `StageTimings` |
-//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the indexed ≡ naive and serial ≡ parallel differential oracles |
+//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the builder ≡ naive conflict-edge and serial ≡ parallel differential oracles |
 //! | `spec-check` | corpus gate: every `specs/*.spec` passes the static checker, every `specs/bad/*.spec` is rejected |
 
 pub mod ablate;
@@ -46,31 +46,6 @@ use cextend_workloads::CcFamily;
 /// `perf-check` and `perf-trend` document readers).
 pub(crate) fn json_field(obj: &[(String, serde::Value)], name: &str) -> Option<serde::Value> {
     obj.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
-}
-
-/// The conflict-builder label of a perf document or history line — **the**
-/// comparability rule for `--conflict`: an absent field (pre-PR5 records,
-/// written when only one builder existed) maps to the default `indexed`
-/// label so old records stay comparable/unflagged. `perf-check`'s
-/// parameter gate and `perf-trend`'s `*` flag must agree, so both read it
-/// from here.
-pub(crate) fn conflict_label(obj: &[(String, serde::Value)]) -> String {
-    match json_field(obj, "conflict") {
-        Some(serde::Value::Str(s)) => s,
-        _ => "indexed".to_owned(),
-    }
-}
-
-/// The DC-planner label of a perf document or scale section — same
-/// defaulting rule as [`conflict_label`]: an absent field (records written
-/// before the cost planner existed) maps to the default `cost` label, so
-/// old records compare against the default-configured runs that succeed
-/// them rather than flagging every document as a parameter mismatch.
-pub(crate) fn dcplan_label(obj: &[(String, serde::Value)]) -> String {
-    match json_field(obj, "dcplan") {
-        Some(serde::Value::Str(s)) => s,
-        _ => "cost".to_owned(),
-    }
 }
 
 /// All figure/table experiment ids, in run order (`perf` is driven

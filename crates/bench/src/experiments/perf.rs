@@ -92,14 +92,6 @@ pub struct PerfBaseline {
     /// CLI-provided knob overrides the sweep ran with (each workload
     /// resolves them against its own defaults).
     pub knobs: BTreeMap<String, i64>,
-    /// Conflict-builder label the sweep solved with (`--conflict`): wall
-    /// times under `naive` are not comparable to `indexed` ones, so the
-    /// label gates `perf-check` like the other run parameters.
-    pub conflict: String,
-    /// DC-planner label the sweep solved with (`--dcplan`): cost-based
-    /// plans bulk-emit pair DCs and reorder enumeration, so the label
-    /// gates comparability like `conflict` does.
-    pub dcplan: String,
     /// Set when the sweep was extended with `--workload spec:<path>` —
     /// identifies where the extra `spec:*` records came from. Deliberately
     /// **not** a comparability parameter: a spec's records appear and
@@ -158,9 +150,7 @@ pub fn run(opts: &ExperimentOpts) {
                 DcSet::All,
                 sub.n_ccs,
                 sub.seed,
-                &SolverConfig::hybrid()
-                    .with_conflict(sub.conflict)
-                    .with_dc_planner(sub.dcplan),
+                &SolverConfig::hybrid(),
                 sub.runs,
             );
             for step in &chain.steps {
@@ -242,8 +232,6 @@ pub fn run(opts: &ExperimentOpts) {
         runs: opts.runs,
         seed: opts.seed,
         knobs: opts.knobs.clone(),
-        conflict: opts.conflict.label().to_owned(),
-        dcplan: opts.dcplan.label().to_owned(),
         workload: opts
             .workload
             .starts_with("spec:")
@@ -287,10 +275,6 @@ struct HistoryRecord {
     runs: usize,
     /// Base RNG seed.
     seed: u64,
-    /// Conflict-builder label the sweep solved with.
-    conflict: String,
-    /// DC-planner label the sweep solved with.
-    dcplan: String,
     /// The `spec:<path>` selection that extended the sweep, when one did
     /// (same pass-through rule as the baseline's field).
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -311,8 +295,6 @@ fn append_history(path: &Path, opts: &ExperimentOpts, baseline: &PerfBaseline) {
         n_ccs: baseline.n_ccs,
         runs: baseline.runs,
         seed: baseline.seed,
-        conflict: baseline.conflict.clone(),
-        dcplan: baseline.dcplan.clone(),
         workload: baseline.workload.clone(),
         walls: baseline
             .records
@@ -454,14 +436,6 @@ fn render_params(obj: &[(String, serde::Value)]) -> Vec<(&'static str, String)> 
         _ => "{}".to_owned(),
     };
     params.push(("knobs", knobs));
-    // The conflict builder changes every wall time (~17× on DC-dense
-    // records) without touching the data, so it gates comparability too
-    // (shared defaulting rule: `super::conflict_label`).
-    params.push(("conflict", super::conflict_label(obj)));
-    // Likewise the DC planner (cost-based plans reorder enumeration and
-    // bulk-emit pair DCs): absent defaults to `cost` via
-    // `super::dcplan_label`.
-    params.push(("dcplan", super::dcplan_label(obj)));
     params
 }
 
@@ -512,7 +486,7 @@ fn parse_scale(sec: &[(String, serde::Value)]) -> Result<ParsedScale, String> {
 /// Compares a fresh `BENCH_perf.json` against the committed baseline.
 ///
 /// The two documents must have been produced with the same run parameters
-/// (`scale_factor`, `n_ccs`, `runs`, `seed`, `knobs`, `conflict`) — a
+/// (`scale_factor`, `n_ccs`, `runs`, `seed`, `knobs`) — a
 /// mismatch means the guard would
 /// compare apples to oranges (silently dead when the baseline is heavier,
 /// spuriously red when it is lighter), so it fails with a parameter
@@ -774,17 +748,15 @@ mod tests {
         let err = check(&base, &fresh).unwrap_err();
         assert!(err.contains("knobs"), "{err}");
 
-        // A naive-conflict sweep's walls are ~17x an indexed one's on
-        // DC-dense records, so the builder label gates comparability; a
-        // document without the field (pre-PR5) counts as indexed.
-        let with_naive = doc(&records).replace(r#""runs":1,"#, r#""runs":1,"conflict":"naive","#);
-        let base = write(&dir, "base-naive.json", &with_naive);
-        let fresh = write(&dir, "fresh-indexed.json", &doc(&records));
-        let err = check(&base, &fresh).unwrap_err();
-        assert!(err.contains("conflict"), "{err}");
-        let with_indexed =
-            doc(&records).replace(r#""runs":1,"#, r#""runs":1,"conflict":"indexed","#);
-        let base = write(&dir, "base-indexed.json", &with_indexed);
+        // Older documents carry the retired `conflict`/`dcplan` builder
+        // labels; they still parse and compare against fresh runs, which
+        // no longer write them.
+        let legacy = doc(&records).replace(
+            r#""runs":1,"#,
+            r#""runs":1,"conflict":"indexed","dcplan":"cost","#,
+        );
+        let base = write(&dir, "base-legacy.json", &legacy);
+        let fresh = write(&dir, "fresh.json", &doc(&records));
         check(&base, &fresh).unwrap();
     }
 
@@ -1054,25 +1026,6 @@ mod tests {
         );
         check(&base, &plain).unwrap();
         check(&plain, &base).unwrap();
-    }
-
-    #[test]
-    fn dcplan_label_gates_comparability_with_cost_default() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-dcplan");
-        std::fs::create_dir_all(&dir).unwrap();
-        let records = [("census", "good", "Persons→Housing", 0.1)];
-        // A static-planner baseline is not comparable to a default (cost)
-        // fresh run…
-        let with_static = doc(&records).replace(r#""runs":1,"#, r#""runs":1,"dcplan":"static","#);
-        let base = write(&dir, "base-static.json", &with_static);
-        let fresh = write(&dir, "fresh.json", &doc(&records));
-        let err = check(&base, &fresh).unwrap_err();
-        assert!(err.contains("dcplan"), "{err}");
-        // …while an absent field counts as `cost`, keeping pre-planner
-        // documents comparable to default runs.
-        let with_cost = doc(&records).replace(r#""runs":1,"#, r#""runs":1,"dcplan":"cost","#);
-        let base = write(&dir, "base-cost.json", &with_cost);
-        check(&base, &fresh).unwrap();
     }
 
     #[test]

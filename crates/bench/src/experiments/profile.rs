@@ -157,7 +157,6 @@ fn trace_meta(opts: &ExperimentOpts, meta: &RunMeta) -> Vec<(String, String)> {
         ("scale_factor".to_owned(), opts.scale_factor.to_string()),
         ("n_ccs".to_owned(), opts.n_ccs.to_string()),
         ("seed".to_owned(), opts.seed.to_string()),
-        ("conflict".to_owned(), opts.conflict.label().to_owned()),
     ];
     pairs.extend(meta.as_pairs());
     pairs

@@ -145,10 +145,6 @@ pub struct ScaleSection {
     pub seed: u64,
     /// CLI-provided knob overrides.
     pub knobs: BTreeMap<String, i64>,
-    /// Conflict-builder label.
-    pub conflict: String,
-    /// DC planner label (`cost` or `static`).
-    pub dcplan: String,
     /// Phase 1 mode label (`parallel` or `serial`). Not a comparability
     /// gate: both modes are bit-identical, only scheduling differs.
     pub phase1: String,
@@ -226,8 +222,6 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         let ccs = workload.ccs(CcFamily::Good, opts.n_ccs, &data, opts.seed);
         let dcs = workload.dcs(DcSet::All);
         let config = SolverConfig::hybrid()
-            .with_conflict(opts.conflict)
-            .with_dc_planner(opts.dcplan)
             .with_parallel_coloring(true)
             .with_parallel_phase1(opts.parallel_phase1);
         let result = run_averaged(&data, &ccs, &dcs, &config, opts.runs);
@@ -300,8 +294,6 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         runs: opts.runs,
         seed: opts.seed,
         knobs: opts.knobs.clone(),
-        conflict: opts.conflict.label().to_owned(),
-        dcplan: opts.dcplan.label().to_owned(),
         phase1: if opts.parallel_phase1 {
             "parallel".to_owned()
         } else {
@@ -387,7 +379,6 @@ struct ScaleHistoryRecord {
     n_ccs: usize,
     runs: usize,
     seed: u64,
-    conflict: String,
     /// Workload → wall seconds.
     walls: BTreeMap<String, f64>,
     /// Workload → peak RSS in MiB (absent entries: platform hides RSS).
@@ -408,7 +399,6 @@ fn append_history(
         n_ccs: section.n_ccs,
         runs: section.runs,
         seed: section.seed,
-        conflict: section.conflict.clone(),
         walls: section
             .records
             .iter()
@@ -469,8 +459,6 @@ mod tests {
             runs: 1,
             seed: 7,
             knobs: BTreeMap::new(),
-            conflict: "indexed".to_owned(),
-            dcplan: "cost".to_owned(),
             phase1: "parallel".to_owned(),
             meta: run_meta(),
             records: vec![ScaleRecord {
@@ -520,8 +508,6 @@ mod tests {
             runs: 1,
             seed: 7,
             knobs: BTreeMap::new(),
-            conflict: "indexed".to_owned(),
-            dcplan: "cost".to_owned(),
             phase1: "serial".to_owned(),
             meta: run_meta(),
             records: Vec::new(),

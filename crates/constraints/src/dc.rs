@@ -442,8 +442,7 @@ impl DcPlan {
     /// different offsets between the same column pair, φ is unsatisfiable
     /// and the plan is marked [`never_holds`](DcPlan::never_holds).
     ///
-    /// The cost planner calls this at compile time; the static planner
-    /// (`--dcplan static`) keeps the unsaturated plan as the oracle.
+    /// The conflict builder calls this at compile time.
     pub fn saturate_equalities(&self) -> DcPlan {
         // Union-find with potentials over (var, col) nodes: pot(x) is
         // val(x) − val(root) in i128 so composed offsets cannot overflow.

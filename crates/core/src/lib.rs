@@ -68,18 +68,18 @@ pub mod stepgraph;
 
 pub use baseline::{solve_baseline, solve_baseline_with_marginals, solve_hybrid};
 pub use config::{
-    ColoringMode, ConflictBuilderKind, DcPlannerKind, IlpBackend, IlpSettings, Phase1Strategy,
-    Phase2Strategy, SchedulerMode, SolverConfig,
+    ColoringMode, IlpBackend, IlpSettings, Phase1Strategy, Phase2Strategy, SchedulerMode,
+    SolverConfig,
 };
 
-/// Conflict-hypergraph construction (Definition 5.1): the indexed fast
-/// path, the retained naive oracle, and their build statistics. Public so
-/// the bench harness can measure the builders head to head and the
-/// workload crate can property-test their edge-set equivalence.
+/// Conflict-hypergraph construction (Definition 5.1): the cost-planned
+/// builder Phase II runs, the naive reference it is tested against, and
+/// their build statistics. Public so the benches can measure the builder
+/// against the reference and the workload and spec crates can test their
+/// edge-set equivalence.
 pub mod conflict {
     pub use crate::phase2::conflict::{
-        build_conflict_graph, build_conflict_graph_naive, plan_decision_counts, ConflictBuilder,
-        ConflictStats,
+        build_conflict_graph_naive, plan_decision_counts, ConflictBuilder, ConflictStats,
     };
 }
 pub use error::{CoreError, Result};

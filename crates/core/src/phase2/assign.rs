@@ -7,7 +7,7 @@
 //! because candidate key sets are disjoint across combos (Section 5.2), so
 //! they can be colored on separate threads (Section A.3).
 
-use crate::config::{ColoringMode, ConflictBuilderKind, DcPlannerKind};
+use crate::config::ColoringMode;
 use crate::phase2::conflict::{ConflictBuilder, ConflictStats};
 use cextend_constraints::BoundDc;
 use cextend_hypergraph::{
@@ -37,34 +37,25 @@ pub(crate) struct PartitionResult {
     pub build_time: Duration,
     /// Time spent coloring.
     pub color_time: Duration,
-    /// Indexed-builder statistics for this partition (zero under
-    /// [`ConflictBuilderKind::Naive`]).
+    /// Conflict-builder statistics for this partition.
     pub index_stats: ConflictStats,
 }
 
 /// Colors one partition. Pure apart from the reused `builder` scratch:
-/// mutates nothing outside its return value. `builder` is `None` exactly
-/// under [`ConflictBuilderKind::Naive`], whose index stats are
-/// definitionally zero.
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
+/// mutates nothing outside its return value.
 pub(crate) fn color_partition(
     partition: usize,
     view: &Relation,
     rows: &[RowId],
     n_candidates: usize,
-    dcs: &[BoundDc],
     mode: ColoringMode,
-    builder: Option<&mut ConflictBuilder>,
+    builder: &mut ConflictBuilder,
 ) -> PartitionResult {
     // `obs::timed` measures the interval *and* emits the span from the same
     // clock reads, so the coordinator's `stage_add` of the returned
     // durations matches the trace aggregate exactly.
-    let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || match builder {
-        Some(builder) => (builder.build(view, rows), builder.take_stats()),
-        None => (
-            super::conflict::build_conflict_graph_naive(view, rows, dcs),
-            ConflictStats::default(),
-        ),
+    let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || {
+        (builder.build(view, rows), builder.take_stats())
     });
 
     let ((g, coloring, skipped_vertices, fresh), color_time) =
@@ -125,41 +116,23 @@ pub(crate) fn color_partition(
 /// compiles the DC plans once into its own [`ConflictBuilder`] and reuses
 /// it across its partitions; the worker count honors
 /// `CEXTEND_SCHED_WORKERS` via [`cextend_sched::pool_width`].
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
 pub(crate) fn color_partitions_streamed(
     view: &Relation,
     partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
     dcs: &[BoundDc],
     mode: ColoringMode,
-    kind: ConflictBuilderKind,
-    planner: DcPlannerKind,
     parallel: bool,
     mut sink: impl FnMut(PartitionResult),
 ) {
-    // Compile the DC plans only when the indexed builder will run; the
-    // naive path would never use them. Cost estimates are nominal for the
-    // largest partition; the sampled statistics behind them are computed
-    // once and shared through the view's thread-safe lazy cache.
+    // Cost estimates are nominal for the largest partition; the sampled
+    // statistics behind them are computed once and shared through the
+    // view's thread-safe lazy cache.
     let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
-    let new_builder = || match (kind, planner) {
-        (ConflictBuilderKind::Indexed, DcPlannerKind::Cost) => {
-            Some(ConflictBuilder::new_cost(dcs, view, rows_hint))
-        }
-        (ConflictBuilderKind::Indexed, DcPlannerKind::Static) => Some(ConflictBuilder::new(dcs)),
-        (ConflictBuilderKind::Naive, _) => None,
-    };
+    let new_builder = || ConflictBuilder::new_cost(dcs, view, rows_hint);
     if !parallel || partitions.len() < 2 {
         let mut builder = new_builder();
         for (i, (_, rows, n_cand)) in partitions.iter().enumerate() {
-            sink(color_partition(
-                i,
-                view,
-                rows,
-                *n_cand,
-                dcs,
-                mode,
-                builder.as_mut(),
-            ));
+            sink(color_partition(i, view, rows, *n_cand, mode, &mut builder));
         }
         return;
     }
@@ -178,7 +151,7 @@ pub(crate) fn color_partitions_streamed(
                     let Some((_, rows, n_cand)) = partitions.get(i) else {
                         break;
                     };
-                    let r = color_partition(i, view, rows, *n_cand, dcs, mode, builder.as_mut());
+                    let r = color_partition(i, view, rows, *n_cand, mode, &mut builder);
                     if tx.send(r).is_err() {
                         break; // coordinator gone (panic unwinding)
                     }
@@ -208,20 +181,15 @@ pub(crate) fn color_partitions_streamed(
 /// Colors all partitions and collects the results in partition order — the
 /// buffered wrapper over [`color_partitions_streamed`] for callers (tests,
 /// benches) that want the whole vector at once.
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
 pub(crate) fn color_all_partitions(
     view: &Relation,
     partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
     dcs: &[BoundDc],
     mode: ColoringMode,
-    kind: ConflictBuilderKind,
-    planner: DcPlannerKind,
     parallel: bool,
 ) -> Vec<PartitionResult> {
     let mut results = Vec::with_capacity(partitions.len());
-    color_partitions_streamed(view, partitions, dcs, mode, kind, planner, parallel, |r| {
-        results.push(r)
-    });
+    color_partitions_streamed(view, partitions, dcs, mode, parallel, |r| results.push(r));
     results
 }
 
@@ -254,16 +222,8 @@ mod tests {
     fn chicago_partition_colors_with_four_households() {
         let (view, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
-        let r = color_partition(
-            0,
-            &view,
-            &rows,
-            4,
-            &dcs,
-            ColoringMode::Greedy,
-            Some(&mut builder),
-        );
+        let mut builder = ConflictBuilder::new_cost(&dcs, &view, rows.len());
+        let r = color_partition(0, &view, &rows, 4, ColoringMode::Greedy, &mut builder);
         assert_eq!(r.assignments.len(), 7);
         assert_eq!(r.skipped, 0);
         assert_eq!(r.fresh_colors, 0);
@@ -274,8 +234,9 @@ mod tests {
     fn too_few_candidates_mint_fresh_colors() {
         let (view, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
+        let mut builder = ConflictBuilder::new_cost(&dcs, &view, rows.len());
         // Only 2 candidate households for 4 pairwise-conflicting owners.
-        let r = color_partition(0, &view, &rows, 2, &dcs, ColoringMode::Greedy, None);
+        let r = color_partition(0, &view, &rows, 2, ColoringMode::Greedy, &mut builder);
         assert!(r.skipped >= 2);
         assert!(r.fresh_colors <= r.skipped);
         assert!(r.fresh_colors >= 2);
@@ -287,15 +248,14 @@ mod tests {
     fn exact_mode_succeeds_where_stated() {
         let (view, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
+        let mut builder = ConflictBuilder::new_cost(&dcs, &view, rows.len());
         let r = color_partition(
             0,
             &view,
             &rows,
             4,
-            &dcs,
             ColoringMode::Exact { max_steps: 100_000 },
-            Some(&mut builder),
+            &mut builder,
         );
         assert_eq!(r.skipped, 0);
         assert_eq!(r.fresh_colors, 0);
@@ -308,40 +268,12 @@ mod tests {
             (vec![Value::str("Chicago")], (0..7).collect::<Vec<_>>(), 4),
             (vec![Value::str("NYC")], vec![7, 8], 2),
         ];
-        let serial = color_all_partitions(
-            &view,
-            &partitions,
-            &dcs,
-            ColoringMode::Greedy,
-            ConflictBuilderKind::Indexed,
-            DcPlannerKind::Static,
-            false,
-        );
-        let parallel = color_all_partitions(
-            &view,
-            &partitions,
-            &dcs,
-            ColoringMode::Greedy,
-            ConflictBuilderKind::Naive,
-            DcPlannerKind::Static,
-            true,
-        );
-        let cost = color_all_partitions(
-            &view,
-            &partitions,
-            &dcs,
-            ColoringMode::Greedy,
-            ConflictBuilderKind::Indexed,
-            DcPlannerKind::Cost,
-            false,
-        );
+        let serial = color_all_partitions(&view, &partitions, &dcs, ColoringMode::Greedy, false);
+        let parallel = color_all_partitions(&view, &partitions, &dcs, ColoringMode::Greedy, true);
         assert_eq!(serial.len(), parallel.len());
-        assert_eq!(serial.len(), cost.len());
-        for ((s, p), c) in serial.iter().zip(parallel.iter()).zip(cost.iter()) {
+        for (s, p) in serial.iter().zip(parallel.iter()) {
             assert_eq!(s.assignments, p.assignments);
             assert_eq!(s.fresh_colors, p.fresh_colors);
-            assert_eq!(s.assignments, c.assignments, "planner changed output");
-            assert_eq!(s.fresh_colors, c.fresh_colors);
         }
     }
 }

@@ -4,28 +4,28 @@
 //! DC's condition φ holds becomes a hyperedge: those tuples must not all
 //! receive the same FK. This module builds that graph two ways:
 //!
-//! - [`ConflictBuilder`] — the **indexed fast path**. Each DC is compiled to
-//!   a [`DcPlan`] (per-variable unary filters, binary atoms with
-//!   selectivity hints, interchangeable-variable classes); candidates per
-//!   variable are pre-filtered once, the variables are ordered most
-//!   selective first, and each enumeration level is driven by a
-//!   per-partition value index — a hash bucket for equality atoms, a sorted
-//!   run for ordering atoms — so the inner loop visits only rows that can
-//!   still satisfy φ instead of the whole partition. Binary atoms are
-//!   verified incrementally on partial assignments (pruning whole subtrees)
-//!   rather than re-evaluating φ at `O(|P|^k)` leaves, and interchangeable
-//!   variables are restricted to ascending vertex ids so each undirected
-//!   edge is emitted once instead of once per symmetric variable order.
-//! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
-//!   retained as the oracle for equivalence tests and as the baseline the
-//!   `conflict_build` criterion bench and the `--conflict naive` CLI knob
-//!   measure the fast path against.
+//! - [`ConflictBuilder`] — the builder Phase II runs. Each DC is compiled
+//!   to an equality-saturated [`DcPlan`] (per-variable unary filters,
+//!   binary atoms, interchangeable-variable classes) and costed against
+//!   sampled column statistics. Pure-unary and single-atom pair DCs are
+//!   emitted in bulk as cliques, bi-cliques or sorted-run windows; the rest
+//!   are enumerated with candidates per variable pre-filtered once, the
+//!   variables ordered most selective first, and each enumeration level
+//!   driven by a per-partition value index — a hash bucket for equality
+//!   atoms, a sorted run for ordering atoms — or by a plain scan where the
+//!   index would not amortize. Binary atoms are verified incrementally on
+//!   partial assignments (pruning whole subtrees) rather than re-evaluating
+//!   φ at `O(|P|^k)` leaves, and interchangeable variables are restricted
+//!   to ascending vertex ids so each undirected edge is emitted once
+//!   instead of once per symmetric variable order.
+//! - [`build_conflict_graph_naive`] — the per-leaf `φ` evaluation straight
+//!   from Definition 5.1, kept as the reference the builder is tested
+//!   against and as the baseline the `conflict` criterion bench measures.
 //!
-//! Both builders produce the **identical edge set** on any input (property-
-//! tested across all workloads in `cextend-workloads`), so Phase II output
-//! is bit-identical regardless of the builder.
+//! Both produce the **identical edge set** on any input (property-tested
+//! across all workloads in `cextend-workloads` and on fuzzed specs in
+//! `cextend-spec`).
 
-use crate::config::DcPlannerKind;
 use cextend_constraints::{BinaryAtomPlan, BoundDc, DcPlan, PlanCost};
 use cextend_hypergraph::Hypergraph;
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
@@ -99,17 +99,15 @@ impl ConflictStats {
 /// partition).
 pub struct ConflictBuilder {
     plans: Vec<DcPlan>,
-    planner: DcPlannerKind,
-    /// Sampled-statistics cost estimates per plan (cost planner only;
-    /// `None` for `never_holds` plans and under the static planner).
+    /// Sampled-statistics cost estimates per plan (`None` exactly for
+    /// `never_holds` plans, which are never enumerated).
     costs: Vec<Option<PlanCost>>,
-    /// Execution order over `plans`: bulk-emitted DCs first under the cost
-    /// planner (so unchecked bulk edges exist before any checked leaf has
-    /// to dedup against them), declaration order otherwise.
+    /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
+    /// bulk edges exist before any checked leaf has to dedup against
+    /// them), then declaration order.
     dc_order: Vec<usize>,
     /// Bulk-emission slot per plan (bit position in the registry masks);
-    /// `Some` for at most 64 pair DCs with at most one binary atom under
-    /// the cost planner.
+    /// `Some` for at most 64 pair DCs with at most one binary atom.
     bulk_slot: Vec<Option<u8>>,
     n_bulk: usize,
     /// Per-vertex registry masks: bit `k` of `bulk_a[v]` / `bulk_b[v]`
@@ -273,19 +271,12 @@ fn bulk_emitted(
 }
 
 impl ConflictBuilder {
-    /// Compiles the DC set with the static planner (the PR 5 hints). The
-    /// builder is then reusable across any number of `(view, rows)` builds.
-    pub fn new(dcs: &[BoundDc]) -> ConflictBuilder {
-        let plans: Vec<DcPlan> = dcs.iter().map(BoundDc::plan).collect();
-        let costs = vec![None; plans.len()];
-        ConflictBuilder::from_plans(plans, DcPlannerKind::Static, costs)
-    }
-
     /// Compiles the DC set with the cost planner: plans are equality-
     /// saturated (merging interchangeable variables, detecting
     /// contradictions), costed against `view`'s sampled column statistics
     /// for a nominal partition of `rows_hint` rows, and ordered with
-    /// bulk-emittable pure-unary pair DCs first.
+    /// bulk-emittable pair DCs first. The builder is then reusable across
+    /// any number of `(view, rows)` builds.
     pub fn new_cost(dcs: &[BoundDc], view: &Relation, rows_hint: usize) -> ConflictBuilder {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
         let costs: Vec<Option<PlanCost>> = plans
@@ -298,26 +289,16 @@ impl ConflictBuilder {
                 }
             })
             .collect();
-        ConflictBuilder::from_plans(plans, DcPlannerKind::Cost, costs)
-    }
-
-    fn from_plans(
-        plans: Vec<DcPlan>,
-        planner: DcPlannerKind,
-        costs: Vec<Option<PlanCost>>,
-    ) -> ConflictBuilder {
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
         let mut bulk_slot = vec![None; plans.len()];
         let mut n_bulk = 0usize;
-        if planner == DcPlannerKind::Cost {
-            for (i, p) in plans.iter().enumerate() {
-                // The registry masks are u64s, so at most 64 DCs can be
-                // bulk-emitted; any excess runs through the indexed path
-                // (identical edges, just slower).
-                if p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
-                    bulk_slot[i] = Some(n_bulk as u8);
-                    n_bulk += 1;
-                }
+        for (i, p) in plans.iter().enumerate() {
+            // The registry masks are u64s, so at most 64 DCs can be
+            // bulk-emitted; any excess runs through the indexed path
+            // (identical edges, just slower).
+            if p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
+                bulk_slot[i] = Some(n_bulk as u8);
+                n_bulk += 1;
             }
         }
         let mut dc_order: Vec<usize> = (0..plans.len()).collect();
@@ -326,7 +307,6 @@ impl ConflictBuilder {
         }
         ConflictBuilder {
             plans,
-            planner,
             costs,
             dc_order,
             bulk_slot,
@@ -433,12 +413,14 @@ impl ConflictBuilder {
         bulk_uncond: u64,
         g: &mut Hypergraph,
     ) {
-        if plan.never_holds() {
+        let Some(cost) = cost else {
             // Equality saturation found contradictory atoms at compile
-            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`).
+            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`), so the plan was
+            // never costed.
+            debug_assert!(plan.never_holds());
             self.stats.dead_dcs += 1;
             return;
-        }
+        };
         let arity = plan.arity();
         // Typed views for every binary atom column. A binary atom over a
         // non-integer column can never hold (missing/typed-out cells make
@@ -507,9 +489,8 @@ impl ConflictBuilder {
 
         // Atom schedule: each binary atom runs at the depth where its last
         // variable gets assigned; one scheduled atom per depth is promoted
-        // to loop driver — under the cost planner the one with the lowest
-        // estimated selectivity (ties prefer equality), under the static
-        // planner any equality before any ordering atom.
+        // to loop driver — the one with the lowest estimated selectivity
+        // (ties prefer equality).
         while self.sched.len() < arity {
             self.sched.push(Vec::new());
         }
@@ -528,13 +509,8 @@ impl ConflictBuilder {
                     None => true,
                     Some(d) => {
                         let cur = &plan.binary_atoms()[d];
-                        match cost {
-                            Some(c) => {
-                                let (sa, sc) = (c.atom_selectivity[a], c.atom_selectivity[d]);
-                                sa < sc || (sa == sc && atom.is_equality() && !cur.is_equality())
-                            }
-                            None => atom.is_equality() && !cur.is_equality(),
-                        }
+                        let (sa, sc) = (cost.atom_selectivity[a], cost.atom_selectivity[d]);
+                        sa < sc || (sa == sc && atom.is_equality() && !cur.is_equality())
                     }
                 };
                 if better && (atom.is_equality() || atom.is_range()) {
@@ -543,38 +519,35 @@ impl ConflictBuilder {
             }
         }
 
-        // Index-kind decision (cost planner): keep a depth's driver index
-        // only when it amortizes. The index replaces, per enumeration
-        // reaching this depth, a scan of the whole candidate list with a
-        // probe that visits `n × sel` matches; it costs one build over the
-        // list per partition. The probe count is the product of the
+        // Index-kind decision: keep a depth's driver index only when it
+        // amortizes. The index replaces, per enumeration reaching this
+        // depth, a scan of the whole candidate list with a probe that
+        // visits `n × sel` matches; it costs one build over the list per
+        // partition. The probe count is the product of the
         // surviving loop widths above this depth (selective drivers narrow
         // each level to `n × sel` survivors whether they execute as index
         // or scan — the scheduled-atom check in `try_candidate` filters
         // identically). A demoted depth scans: same edges, no build.
-        if self.planner == DcPlannerKind::Cost {
-            let mut est_probes = 1.0f64;
-            for depth in 0..arity {
-                let n = self.cands[order[depth]].len() as f64;
-                let sel = match drivers[depth] {
-                    Some(a) => cost.map_or(0.5, |c| c.atom_selectivity[a]),
-                    None => 1.0,
-                };
-                if let Some(a) = drivers[depth] {
-                    let scan_cost = est_probes * n;
-                    let index_cost =
-                        INDEX_BUILD_FACTOR * n + est_probes * (INDEX_PROBE_COST + n * sel);
-                    if scan_cost <= index_cost {
-                        drivers[depth] = None;
-                        self.stats.index_scan += 1;
-                    } else if plan.binary_atoms()[a].is_equality() {
-                        self.stats.index_hash += 1;
-                    } else {
-                        self.stats.index_sorted += 1;
-                    }
+        let mut est_probes = 1.0f64;
+        for depth in 0..arity {
+            let n = self.cands[order[depth]].len() as f64;
+            let sel = match drivers[depth] {
+                Some(a) => cost.atom_selectivity[a],
+                None => 1.0,
+            };
+            if let Some(a) = drivers[depth] {
+                let scan_cost = est_probes * n;
+                let index_cost = INDEX_BUILD_FACTOR * n + est_probes * (INDEX_PROBE_COST + n * sel);
+                if scan_cost <= index_cost {
+                    drivers[depth] = None;
+                    self.stats.index_scan += 1;
+                } else if plan.binary_atoms()[a].is_equality() {
+                    self.stats.index_hash += 1;
+                } else {
+                    self.stats.index_sorted += 1;
                 }
-                est_probes *= (n * sel).max(1.0);
             }
+            est_probes *= (n * sel).max(1.0);
         }
 
         // Per-partition value indexes for the driver atoms' probe columns:
@@ -1065,13 +1038,6 @@ fn try_candidate(
     state.member[pos as usize] = state.generation.wrapping_sub(1);
 }
 
-/// Builds the conflict hypergraph with the indexed fast path (convenience
-/// wrapper; reuse a [`ConflictBuilder`] when building many graphs from one
-/// DC set).
-pub fn build_conflict_graph(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
-    ConflictBuilder::new(dcs).build(view, rows)
-}
-
 /// Counts the cost planner's per-DC decisions: how many plans were costed
 /// from sampled statistics and how many fell back to the static defaults.
 /// Computed once by the Phase II coordinator (not per worker), so the
@@ -1095,10 +1061,9 @@ pub fn plan_decision_counts(dcs: &[BoundDc], view: &Relation, rows_hint: usize) 
     (from_stats, fallback)
 }
 
-/// The original naive builder: enumerate candidate combinations per DC and
-/// evaluate φ at the leaves. `O(|P|^k)` per DC — retained as the oracle the
-/// indexed builder is property-tested against and as the baseline the
-/// `conflict_build` bench and `--conflict naive` measure.
+/// The naive builder: enumerate candidate combinations per DC and evaluate
+/// φ at the leaves. `O(|P|^k)` per DC — the reference [`ConflictBuilder`]
+/// is tested against and the baseline the `conflict` bench measures.
 pub fn build_conflict_graph_naive(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
     let mut g = Hypergraph::new(rows.len());
     let mut chosen: Vec<u32> = Vec::new();
@@ -1154,12 +1119,10 @@ mod tests {
     use crate::instance::fixtures;
     use cextend_table::init_join_view;
 
-    /// All three builders (static-planned, cost-planned, naive) on the
-    /// same input, asserting identical edge sets and returning the
-    /// static-planned indexed graph.
+    /// The builder and the naive reference on the same input, asserting
+    /// identical edge sets and returning the builder's graph.
     fn build_both(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
-        let indexed = build_conflict_graph(view, rows, dcs);
-        let cost = ConflictBuilder::new_cost(dcs, view, rows.len()).build(view, rows);
+        let built = ConflictBuilder::new_cost(dcs, view, rows.len()).build(view, rows);
         let naive = build_conflict_graph_naive(view, rows, dcs);
         let edge_set = |g: &Hypergraph| {
             let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
@@ -1167,17 +1130,12 @@ mod tests {
             edges.dedup();
             edges
         };
-        let reference = edge_set(&indexed);
-        assert_eq!(reference, edge_set(&cost), "cost planner diverged");
-        assert_eq!(reference, edge_set(&naive), "naive builder diverged");
-        // No builder may produce duplicate edges (degrees would diverge).
-        assert_eq!(
-            indexed.n_edges(),
-            cost.n_edges(),
-            "cost planner duplicated edges"
-        );
-        assert_eq!(indexed.n_edges(), reference.len(), "duplicate edges");
-        indexed
+        let reference = edge_set(&naive);
+        assert_eq!(reference, edge_set(&built), "builder diverged from naive");
+        // The builder may not produce duplicate edges (degrees would
+        // diverge).
+        assert_eq!(built.n_edges(), reference.len(), "duplicate edges");
+        built
     }
 
     /// Figure 7's Chicago component: applying the Figure 2a DCs to the
@@ -1441,20 +1399,34 @@ mod tests {
 
     #[test]
     fn builder_reuse_and_stats() {
-        let instance = fixtures::running_example();
-        let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let dcs: Vec<BoundDc> = instance
-            .dcs
-            .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
-            .collect();
-        let rows: Vec<RowId> = (0..7).collect(); // owners + spouse + children
-        let mut builder = ConflictBuilder::new(&dcs);
-        let a = builder.build(&view, &rows);
-        let b = builder.build(&view, &rows);
-        assert_eq!(a.n_edges(), b.n_edges(), "builder reuse changed output");
-        let stats = builder.take_stats();
-        assert!(stats.indexes_built > 0, "age-gap DCs should build indexes");
+        use cextend_constraints::parse_dc;
+        let r = bulk_fixture();
+        // Two binary atoms: not bulk-emittable, so the DC is enumerated and
+        // every build makes index-kind decisions.
+        let dc = parse_dc(
+            "gap",
+            "!(t1.Age <= t2.Age & t2.Age <= t1.Age + 5 & t1.fk = t2.fk)",
+            "fk",
+        )
+        .unwrap()
+        .bind(r.schema(), "Persons")
+        .unwrap();
+        let rows: Vec<RowId> = (0..5).collect();
+        let dcs = [dc];
+        let a = build_both(&r, &rows, &dcs);
+        let mut builder = ConflictBuilder::new_cost(&dcs, &r, rows.len());
+        let b = builder.build(&r, &rows);
+        let once = builder.stats();
+        let c = builder.build(&r, &rows);
+        assert_eq!(a.n_edges(), b.n_edges());
+        assert_eq!(b.n_edges(), c.n_edges(), "builder reuse changed output");
+        assert!(
+            once.index_hash + once.index_sorted + once.index_scan > 0,
+            "an enumerated DC reaches an index-kind decision"
+        );
+        let mut twice = once;
+        twice.absorb(&once);
+        assert_eq!(builder.take_stats(), twice, "stats accumulate per build");
         assert_eq!(builder.stats(), ConflictStats::default());
     }
 

@@ -323,23 +323,19 @@ pub(crate) fn run_phase2(
                 &partitions,
                 &dcs,
                 config.coloring,
-                config.conflict,
-                config.dc_planner,
                 config.parallel_coloring,
             );
-            let mut index_stats = crate::phase2::conflict::ConflictStats::default();
             // Planner decisions are a per-run (not per-partition) fact:
             // count them once on the coordinator so the totals are
             // invariant under worker width.
-            if config.conflict == crate::config::ConflictBuilderKind::Indexed
-                && config.dc_planner == crate::config::DcPlannerKind::Cost
-            {
-                let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
-                let (from_stats, fallback) =
-                    conflict::plan_decision_counts(&dcs, &ctx.view, rows_hint);
-                index_stats.plans_cost = from_stats;
-                index_stats.plans_static_fallback = fallback;
-            }
+            let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
+            let (plans_cost, plans_static_fallback) =
+                conflict::plan_decision_counts(&dcs, &ctx.view, rows_hint);
+            let mut index_stats = conflict::ConflictStats {
+                plans_cost,
+                plans_static_fallback,
+                ..Default::default()
+            };
             for r in &results {
                 stats.counters.conflict_edges += r.edges;
                 stats.counters.skipped_vertices += r.skipped;
@@ -379,9 +375,8 @@ pub(crate) fn run_phase2(
             cextend_obs::counter_add("phase2.index_sorted", index_stats.index_sorted as u64);
             cextend_obs::counter_add("phase2.index_scan", index_stats.index_scan as u64);
             tracef!(
-                "phase2: planner {}: {} cost plans, {} static fallbacks, \
+                "phase2: planner: {} cost plans, {} static fallbacks, \
                  {} hash / {} sorted / {} scan depths",
-                config.dc_planner.label(),
                 index_stats.plans_cost,
                 index_stats.plans_static_fallback,
                 index_stats.index_hash,
@@ -389,9 +384,8 @@ pub(crate) fn run_phase2(
                 index_stats.index_scan,
             );
             tracef!(
-                "phase2: conflict {} ({} edges): {} indexes, {} eq probes, \
+                "phase2: conflict ({} edges): {} indexes, {} eq probes, \
                  {} range probes, {} scanned candidates, {} dead DCs, {} dedup hits",
-                config.conflict.label(),
                 stats.counters.conflict_edges,
                 index_stats.indexes_built,
                 index_stats.eq_probes,

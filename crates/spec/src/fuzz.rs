@@ -8,19 +8,20 @@
 //! exclusive pairs over the fact-wide `[0, 900]` load domain so real
 //! conflict edges exist.
 //!
-//! [`run_differential_oracles`] then solves each generated spec five
-//! ways — (serial, indexed), (serial, naive), (parallel, indexed), the
-//! parallel Phase 1 path and the static DC planner — and demands
-//! bit-identical tables and solve counters between the indexed ≡ naive
-//! conflict builders, the serial ≡ parallel schedulers and phase-1 paths,
-//! and the cost ≡ static DC planners.
+//! [`run_differential_oracles`] then checks each generated spec three
+//! ways: the conflict builder's edge sets equal the naive reference's on
+//! every step's ground-truth view, and the serial ≡ parallel schedulers
+//! and serial ≡ parallel Phase 1 paths solve to bit-identical tables and
+//! solve counters.
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
+use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::{ConflictBuilderKind, DcPlannerKind, SchedulerMode, SolverConfig};
-use cextend_table::relations_equal_ordered;
-use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadParams};
+use cextend_core::{SchedulerMode, SolverConfig};
+use cextend_hypergraph::Hypergraph;
+use cextend_table::{relations_equal_ordered, RowId};
+use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadData, WorkloadParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -216,11 +217,19 @@ pub fn fuzz_workload(seed: u64, iter: usize) -> Result<SpecWorkload> {
     crate::load_source(&src, &format!("<fuzz-{seed}-{iter}>"))
 }
 
-/// Solves a spec workload under the reference configurations and demands
-/// bit-identity between the indexed ≡ naive conflict builders, the serial ≡
-/// parallel schedulers, the serial ≡ parallel Phase 1 paths and the cost ≡
-/// static DC planners. Returns the (serial, indexed) schedule's shape on
-/// success, a divergence description on failure.
+/// Rows per window of the conflict-edge differential, and the most
+/// windows checked per step. Bounded so the naive reference's `O(|P|^k)`
+/// enumeration stays cheap; each window is one artificial partition, larger
+/// than a typical per-FK group.
+const EDGE_WINDOW_ROWS: usize = 40;
+const EDGE_WINDOWS: usize = 3;
+
+/// Checks a spec workload against its differential oracles: on every
+/// step's ground-truth view the conflict builder's edge sets equal
+/// [`build_conflict_graph_naive`]'s, and the serial ≡ parallel schedulers
+/// and serial ≡ parallel Phase 1 paths solve bit-identically. Returns the
+/// serial schedule's shape on success, a divergence description on
+/// failure.
 pub fn run_differential_oracles(
     workload: &SpecWorkload,
     seed: u64,
@@ -228,6 +237,7 @@ pub fn run_differential_oracles(
 ) -> std::result::Result<FuzzOutcome, String> {
     let meta = workload.meta();
     let data = workload.generate(&WorkloadParams::new(1.0, seed));
+    check_conflict_edges(workload, &data)?;
     let family = if seed.is_multiple_of(2) {
         CcFamily::Good
     } else {
@@ -240,57 +250,68 @@ pub fn run_differential_oracles(
             dcs: workload.step_dcs(i, DcSet::All),
         })
         .collect();
-    let solve = |mode: SchedulerMode, conflict: ConflictBuilderKind| {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_scheduler(mode)
-            .with_conflict(conflict);
-        solve_snowflake(data.relations.clone(), &steps, &config).map_err(|e| {
-            format!(
-                "{}: solve failed under ({}, {}): {e}",
-                meta.name,
-                mode.label(),
-                conflict.label()
-            )
-        })
+    let solve = |config: SolverConfig, what: &str| {
+        solve_snowflake(data.relations.clone(), &steps, &config.with_seed(seed))
+            .map_err(|e| format!("{}: solve failed under {what}: {e}", meta.name))
     };
-    let base = solve(SchedulerMode::Serial, ConflictBuilderKind::Indexed)?;
-    let naive = solve(SchedulerMode::Serial, ConflictBuilderKind::Naive)?;
-    let par = solve(SchedulerMode::Parallel, ConflictBuilderKind::Indexed)?;
-    compare(
-        meta.name,
-        &base,
-        &naive,
-        "indexed vs naive conflict builder",
+    let base = solve(SolverConfig::hybrid(), "the serial reference")?;
+    let par = solve(
+        SolverConfig::hybrid().with_scheduler(SchedulerMode::Parallel),
+        "the parallel scheduler",
     )?;
     compare(meta.name, &base, &par, "serial vs parallel scheduler")?;
-    let par_p1 = {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_parallel_phase1(true);
-        solve_snowflake(data.relations.clone(), &steps, &config)
-            .map_err(|e| format!("{}: solve failed under parallel phase1: {e}", meta.name))?
-    };
+    let par_p1 = solve(
+        SolverConfig::hybrid().with_parallel_phase1(true),
+        "parallel phase 1",
+    )?;
     compare(meta.name, &base, &par_p1, "serial vs parallel phase 1")?;
-    // Fifth arm: the static DC planner against the (default) cost planner
-    // the four arms above all ran with. Fuzzed DC blocks mix gap pairs
-    // (bulk-eligible single binary atoms) with exclusive pairs (pure-unary
-    // cliques), so this exercises both bulk emission branches against the
-    // enumerated static path.
-    let static_plan = {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_dc_planner(DcPlannerKind::Static);
-        solve_snowflake(data.relations.clone(), &steps, &config)
-            .map_err(|e| format!("{}: solve failed under static DC planner: {e}", meta.name))?
-    };
-    compare(meta.name, &base, &static_plan, "cost vs static DC planner")?;
     Ok(FuzzOutcome {
         name: meta.name.to_owned(),
         n_steps: steps.len(),
         levels: base.levels.len(),
         max_width: base.levels.iter().map(|l| l.steps.len()).max().unwrap_or(0),
     })
+}
+
+/// Edge-set differential of the conflict builder against the naive
+/// reference over bounded row windows of each step's ground-truth owner.
+/// Fuzzed DC blocks mix gap pairs (single-atom bulk windows) with exclusive
+/// pairs (pure-unary cliques), so both bulk emission branches are checked.
+fn check_conflict_edges(
+    workload: &SpecWorkload,
+    data: &WorkloadData,
+) -> std::result::Result<(), String> {
+    let name = workload.meta().name;
+    for step in 0..data.n_steps() {
+        let truth = data.step_owner_truth(step);
+        let dcs = workload
+            .step_dcs(step, DcSet::All)
+            .iter()
+            .map(|d| d.bind(truth.schema(), truth.name()))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(|e| format!("{name} step {step}: DCs do not bind: {e}"))?;
+        let rows: Vec<RowId> = (0..truth.n_rows()).collect();
+        let mut builder = ConflictBuilder::new_cost(&dcs, truth, EDGE_WINDOW_ROWS);
+        for window in rows.chunks(EDGE_WINDOW_ROWS).take(EDGE_WINDOWS) {
+            let built = builder.build(truth, window);
+            let naive = build_conflict_graph_naive(truth, window, &dcs);
+            if edge_set(&built) != edge_set(&naive) {
+                return Err(format!(
+                    "{name} step {step}: conflict builder diverged from naive on rows {}..={}",
+                    window[0],
+                    window[window.len() - 1]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A graph's edges, sorted.
+fn edge_set(g: &Hypergraph) -> Vec<Vec<u32>> {
+    let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
+    edges.sort();
+    edges
 }
 
 /// Bit-identity between two solves: same tables, same solve counters.

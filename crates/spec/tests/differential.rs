@@ -1,9 +1,10 @@
 //! Differential proptest over the well-typed spec fuzzer.
 //!
 //! Every fuzzer iteration must (a) produce a spec that parses, checks and
-//! lowers cleanly, and (b) solve bit-identically under the three reference
-//! solver configurations — indexed ≡ naive conflict builder and serial ≡
-//! parallel scheduler. The fuzzer seed is fixed so failures reproduce; the
+//! lowers cleanly, and (b) pass the differential oracles — conflict
+//! builder ≡ naive reference edge sets on every step's ground-truth view,
+//! and bit-identical solves under serial ≡ parallel scheduler and Phase 1.
+//! The fuzzer seed is fixed so failures reproduce; the
 //! iteration index is the only proptest-drawn input, and the case count is
 //! bounded to keep `cargo test --workspace` fast.
 

@@ -7,10 +7,10 @@
 //! and the solver's guarantees are testable against it.
 
 use crate::workload::{all_workloads, CcFamily, DcSet, WorkloadParams};
-use cextend_core::conflict::{build_conflict_graph, build_conflict_graph_naive, ConflictBuilder};
+use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::metrics::dc_error_on;
 use cextend_core::snowflake::{solve_snowflake, SnowflakeStep};
-use cextend_core::{ConflictBuilderKind, DcPlannerKind, SchedulerMode, SolverConfig};
+use cextend_core::{SchedulerMode, SolverConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -182,12 +182,13 @@ proptest! {
         scale_mil in 2u32..10,
         n_rows in 8usize..40,
     ) {
-        // The indexed fast path's correctness oracle: on every workload's
+        // The conflict builder's correctness oracle: on every workload's
         // ground-truth view (real DC shapes: unary-anchored gaps, mixed
-        // equality+range atoms, the ternary nae-track chain), both builders
-        // must produce the same edge set over the same row window. The
-        // window is one artificial "partition" — larger and denser than any
-        // per-FK group, so enumeration is genuinely exercised.
+        // equality+range atoms, the ternary nae-track chain), the builder
+        // Phase II runs must produce the naive reference's edge set over
+        // the same row window. The window is one artificial "partition" —
+        // larger and denser than any per-FK group, so enumeration, bulk
+        // emission and the index-kind choice are genuinely exercised.
         let scale = f64::from(scale_mil) / 1_000.0;
         for w in all_workloads() {
             let data = w.generate(&WorkloadParams::new(scale, seed));
@@ -199,7 +200,8 @@ proptest! {
                     .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
                     .collect();
                 let rows: Vec<usize> = (0..truth.n_rows().min(n_rows)).collect();
-                let indexed = build_conflict_graph(truth, &rows, &dcs);
+                let built =
+                    ConflictBuilder::new_cost(&dcs, truth, rows.len()).build(truth, &rows);
                 let naive = build_conflict_graph_naive(truth, &rows, &dcs);
                 let edge_set = |g: &cextend_hypergraph::Hypergraph| {
                     let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
@@ -207,9 +209,9 @@ proptest! {
                     edges
                 };
                 prop_assert_eq!(
-                    edge_set(&indexed),
+                    edge_set(&built),
                     edge_set(&naive),
-                    "{} step {}: builders diverged on {} rows",
+                    "{} step {}: builder diverged from naive on {} rows",
                     w.meta().name,
                     step,
                     rows.len()
@@ -219,59 +221,17 @@ proptest! {
     }
 
     #[test]
-    fn cost_and_static_dc_planners_build_identical_edge_sets(
-        seed in 0u64..1_000,
-        scale_mil in 2u32..10,
-        n_rows in 8usize..40,
-    ) {
-        // The cost planner reorders the enumeration, swaps index kinds and
-        // bulk-emits pair DCs via sorted-run windows — none of which may
-        // change the edge *set*. Same harness as the indexed/naive oracle:
-        // every workload's ground-truth view (real DC shapes, including the
-        // ternary nae-track chain) over one artificial partition window.
-        let scale = f64::from(scale_mil) / 1_000.0;
-        for w in all_workloads() {
-            let data = w.generate(&WorkloadParams::new(scale, seed));
-            for step in 0..data.n_steps() {
-                let truth = data.step_owner_truth(step);
-                let dcs: Vec<_> = w
-                    .step_dcs(step, DcSet::All)
-                    .iter()
-                    .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
-                    .collect();
-                let rows: Vec<usize> = (0..truth.n_rows().min(n_rows)).collect();
-                let static_g = build_conflict_graph(truth, &rows, &dcs);
-                let cost_g =
-                    ConflictBuilder::new_cost(&dcs, truth, rows.len()).build(truth, &rows);
-                let edge_set = |g: &cextend_hypergraph::Hypergraph| {
-                    let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
-                    edges.sort();
-                    edges
-                };
-                prop_assert_eq!(
-                    edge_set(&static_g),
-                    edge_set(&cost_g),
-                    "{} step {}: planners diverged on {} rows",
-                    w.meta().name,
-                    step,
-                    rows.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dc_planners_and_worker_widths_are_bit_identical_end_to_end(
+    fn worker_widths_and_schedulers_are_bit_identical_end_to_end(
         seed in 0u64..200,
         scale_mil in 3u32..7,
     ) {
-        // Phase-2 output must not depend on the DC planner, the coloring
-        // mode or the pinned pool width: solve dcdense serially under the
-        // static planner as the reference, then compare every other
-        // (planner, width) combination bit for bit. Widths are pinned via
-        // CEXTEND_SCHED_WORKERS — the same knob CI's scale-smoke pins — so
-        // the work-stealing pipeline's reassembly is exercised even on a
-        // single-CPU machine.
+        // Phase-2 output must not depend on the pinned pool width or the
+        // step scheduler: solve dcdense (the DC-dense stress shape)
+        // serially as the reference, then compare the parallel coloring
+        // pipeline at every width and the parallel step scheduler bit for
+        // bit. Widths are pinned via CEXTEND_SCHED_WORKERS — the same knob
+        // CI's scale-smoke pins — so the work-stealing pipeline's
+        // reassembly is exercised even on a single-CPU machine.
         let scale = f64::from(scale_mil) / 1_000.0;
         let w = crate::workload::workload_by_name("dcdense").expect("registered");
         let data = w.generate(&WorkloadParams::new(scale, seed));
@@ -285,95 +245,40 @@ proptest! {
                 dcs: w.step_dcs(i, DcSet::All),
             })
             .collect();
-        let solve = |planner: DcPlannerKind, parallel: bool| {
-            let config = SolverConfig::hybrid()
-                .with_seed(seed)
-                .with_dc_planner(planner)
-                .with_parallel_coloring(parallel);
-            solve_snowflake(data.relations.clone(), &steps, &config).expect("solve")
+        let config = SolverConfig::hybrid().with_seed(seed);
+        let solve = |config: &SolverConfig| {
+            solve_snowflake(data.relations.clone(), &steps, config).expect("solve")
         };
-        let reference = solve(DcPlannerKind::Static, false);
-        for planner in [DcPlannerKind::Static, DcPlannerKind::Cost] {
-            for width in ["serial", "1", "2", "4"] {
-                if planner == DcPlannerKind::Static && width == "serial" {
-                    continue; // the reference itself
-                }
-                let parallel = width != "serial";
-                if parallel {
-                    std::env::set_var("CEXTEND_SCHED_WORKERS", width);
-                }
-                let other = solve(planner, parallel);
-                std::env::remove_var("CEXTEND_SCHED_WORKERS");
-                for (a, b) in reference.tables.iter().zip(&other.tables) {
-                    prop_assert!(
-                        cextend_table::relations_equal_ordered(a, b),
-                        "relation {} diverged under {:?} planner at width {}",
-                        a.name(),
-                        planner,
-                        width
-                    );
-                }
-                prop_assert_eq!(
-                    reference.total_stats().counters,
-                    other.total_stats().counters,
-                    "solve counters diverged under {:?} planner at width {}",
-                    planner,
-                    width
-                );
+        let reference = solve(&config);
+        let arms = [
+            ("width 1", Some("1"), SchedulerMode::Serial),
+            ("width 2", Some("2"), SchedulerMode::Serial),
+            ("width 4", Some("4"), SchedulerMode::Serial),
+            ("parallel scheduler", None, SchedulerMode::Parallel),
+        ];
+        for (arm, width, sched) in arms {
+            if let Some(width) = width {
+                std::env::set_var("CEXTEND_SCHED_WORKERS", width);
             }
-        }
-    }
-
-    #[test]
-    fn conflict_builders_and_schedulers_are_bit_identical_end_to_end(
-        seed in 0u64..200,
-        scale_mil in 3u32..7,
-    ) {
-        // Phase-2 output must not depend on the conflict builder or the
-        // step scheduler: solve dcdense (the DC-dense stress shape) under
-        // all four combinations and compare the completed relations.
-        let scale = f64::from(scale_mil) / 1_000.0;
-        let w = crate::workload::workload_by_name("dcdense").expect("registered");
-        let data = w.generate(&WorkloadParams::new(scale, seed));
-        let steps: Vec<SnowflakeStep> = data
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(i, edge)| SnowflakeStep {
-                edge: edge.clone(),
-                ccs: w.step_ccs(i, CcFamily::Good, 12, &data, seed),
-                dcs: w.step_dcs(i, DcSet::All),
-            })
-            .collect();
-        let solve = |conflict: ConflictBuilderKind, sched: SchedulerMode| {
-            let config = SolverConfig::hybrid()
-                .with_seed(seed)
-                .with_conflict(conflict)
-                .with_scheduler(sched);
-            solve_snowflake(data.relations.clone(), &steps, &config).expect("solve")
-        };
-        let reference = solve(ConflictBuilderKind::Indexed, SchedulerMode::Serial);
-        for (conflict, sched) in [
-            (ConflictBuilderKind::Naive, SchedulerMode::Serial),
-            (ConflictBuilderKind::Indexed, SchedulerMode::Parallel),
-            (ConflictBuilderKind::Naive, SchedulerMode::Parallel),
-        ] {
-            let other = solve(conflict, sched);
+            let other = solve(
+                &config
+                    .with_parallel_coloring(width.is_some())
+                    .with_scheduler(sched),
+            );
+            std::env::remove_var("CEXTEND_SCHED_WORKERS");
             for (a, b) in reference.tables.iter().zip(&other.tables) {
                 prop_assert!(
                     cextend_table::relations_equal_ordered(a, b),
-                    "relation {} diverged under {:?}/{:?}",
+                    "relation {} diverged under {}",
                     a.name(),
-                    conflict,
-                    sched
+                    arm
                 );
             }
             prop_assert_eq!(
                 reference.total_stats().counters,
                 other.total_stats().counters,
-                "solve counters diverged under {:?}/{:?}",
-                conflict,
-                sched
+                "solve counters diverged under {}",
+                arm
             );
         }
     }
@@ -485,4 +390,80 @@ proptest! {
             prop_assert!(data.to_instance(ccs, w.dcs(DcSet::All)).is_ok());
         }
     }
+}
+
+/// Every execution kind the cost planner can pick for an enumerated depth —
+/// hash bucket, sorted run, plain scan — checked against the naive
+/// reference on real data, at fixed seeds so no kind is covered only by
+/// chance. Windows are consecutive row ranges of growing size over the
+/// step's ground-truth owner: the small one demotes drivers to scans, the
+/// larger ones amortize indexes. No shipped DC drives a sorted run (every
+/// single-range-atom pair DC is bulk-emitted, and `ddc3` prefers its
+/// equality atom), so each view also gets two-atom band DCs over its
+/// integer column, `t0.C <= t1.C <= t0.C + width`, whose range driver does:
+/// one plain, one with `t1` restricted by a unary atom so `t1` is ordered
+/// first and the probe runs from the other side of the atoms. Each band DC
+/// is built on its own, so no other DC's edges can mask a missed pair.
+#[test]
+fn conflict_builder_index_kinds_match_naive_on_truth_views() {
+    use cextend_constraints::{DcAtom, DenialConstraint};
+    use cextend_table::{CmpOp, Value};
+    let bands = |col: &str, width: i64, (ucol, uval): (&str, &str)| {
+        let atom = |lvar, rvar, offset| DcAtom::Binary {
+            lvar,
+            lcol: col.to_owned(),
+            op: CmpOp::Le,
+            rvar,
+            rcol: col.to_owned(),
+            offset,
+        };
+        let restrict = DcAtom::Unary {
+            var: 1,
+            column: ucol.to_owned(),
+            op: CmpOp::Eq,
+            value: Value::str(uval),
+        };
+        [
+            vec![atom(0, 1, 0), atom(1, 0, width)],
+            vec![atom(0, 1, 0), atom(1, 0, width), restrict],
+        ]
+        .map(|atoms| vec![DenialConstraint::new("band", 2, atoms).expect("static DC construction")])
+    };
+    let edge_set = |g: &cextend_hypergraph::Hypergraph| {
+        let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
+        edges.sort();
+        edges
+    };
+    let mut kinds = cextend_core::conflict::ConflictStats::default();
+    for (name, seed, bands) in [
+        ("dcdense", 1, bands("Load", 50, ("Kind", "Anchor"))),
+        ("census", 7, bands("Age", 5, ("Rel", "Owner"))),
+    ] {
+        let w = crate::workload::workload_by_name(name).expect("registered");
+        let data = w.generate(&WorkloadParams::new(0.01, seed));
+        let truth = data.step_owner_truth(0);
+        for dcs in std::iter::once(w.step_dcs(0, DcSet::All)).chain(bands) {
+            let dcs: Vec<_> = dcs
+                .iter()
+                .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
+                .collect();
+            let mut start = 0;
+            for len in [20, 40, 80] {
+                let rows: Vec<usize> = (start..start + len).collect();
+                start += len;
+                assert!(start <= truth.n_rows(), "{name}: truth view too small");
+                let mut builder = ConflictBuilder::new_cost(&dcs, truth, len);
+                let built = builder.build(truth, &rows);
+                kinds.absorb(&builder.take_stats());
+                assert_eq!(
+                    edge_set(&built),
+                    edge_set(&build_conflict_graph_naive(truth, &rows, &dcs)),
+                    "{name}: builder diverged from naive on rows {rows:?}"
+                );
+            }
+        }
+    }
+    assert!(kinds.index_hash > 0, "no hash-bucket depth: {kinds:?}");
+    assert!(kinds.index_sorted > 0, "no sorted-run depth: {kinds:?}");
+    assert!(kinds.index_scan > 0, "no plain-scan depth: {kinds:?}");
 }
