@@ -1,16 +1,17 @@
 //! Micro-benchmark: greedy largest-first list coloring (Algorithm 3) on
 //! conflict graphs of growing size, plus the exact solver on small ones,
-//! plus the `coloring` group on real DC-dense conflict graphs (greedy +
-//! fresh-color repair, parameterized by partition size and DC density).
+//! plus the `coloring` group on real conflict graphs (greedy + fresh-color
+//! repair): DC-dense partitions by size and DC density, and the
+//! pair-dominated largest carrier partition of `logistics`.
 
-use cextend_bench::dcdense_largest_partition;
+use cextend_bench::{dcdense_largest_partition, logistics_largest_partition};
 use cextend_core::conflict::ConflictBuilder;
 use cextend_hypergraph::{
     color_skipped_with_fresh, coloring_lf, exact_list_coloring, CandidateLists, Color, Coloring,
     Hypergraph,
 };
 use cextend_workloads::DcSet;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 /// A clique of `k` "owners" plus a sparse fringe — the shape census
 /// partitions take under `S_all_DC`.
@@ -76,6 +77,36 @@ fn bench_dcdense_coloring(c: &mut Criterion) {
     group.finish();
 }
 
+/// Greedy + fresh-color completion on the largest `(Mode, Reach)`
+/// partition of a generated logistics carrier step: pair edges only, one
+/// candidate color per matching carrier — the Phase II shape that dominates
+/// the benchmark's `logistics-star` workload. Each iteration colors a fresh
+/// clone whose incidence index is not built yet, so the time includes the
+/// index build, as it does in Phase II.
+fn bench_logistics_coloring(c: &mut Criterion) {
+    let mut group = c.benchmark_group("coloring");
+    group.sample_size(10);
+    for &label in &[100u32, 300] {
+        let (view, rows, dcs, n_cand) = logistics_largest_partition(label);
+        let colors: Vec<Color> = (0..n_cand as Color).collect();
+        let g = ConflictBuilder::new_cost(&dcs, &view, rows.len()).build(&view, &rows);
+        let id = format!("logistics_p{}_e{}", rows.len(), g.n_edges());
+        group.bench_with_input(BenchmarkId::from_parameter(id), &g, |b, g| {
+            b.iter_batched(
+                || g.clone(),
+                |g| {
+                    let mut coloring = Coloring::new(g.n_vertices());
+                    let skipped = coloring_lf(&g, &mut coloring, &CandidateLists::Shared(&colors));
+                    color_skipped_with_fresh(&g, &mut coloring, &skipped, n_cand as Color);
+                    (g, coloring)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_exact(c: &mut Criterion) {
     let g = conflict_like_graph(40, 6);
     let colors: Vec<Color> = (0..7).collect();
@@ -91,5 +122,11 @@ fn bench_exact(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_greedy, bench_dcdense_coloring, bench_exact);
+criterion_group!(
+    benches,
+    bench_greedy,
+    bench_dcdense_coloring,
+    bench_logistics_coloring,
+    bench_exact
+);
 criterion_main!(benches);

@@ -20,5 +20,5 @@ pub mod benchdata;
 pub mod experiments;
 pub mod harness;
 
-pub use benchdata::dcdense_largest_partition;
+pub use benchdata::{dcdense_largest_partition, logistics_largest_partition};
 pub use harness::{run_averaged, run_once, ExperimentOpts, RunResult, Table};

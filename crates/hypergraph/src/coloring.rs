@@ -8,13 +8,17 @@
 //! resolves skips by minting fresh colors (= fresh `R2` tuples, lines 11–14
 //! of Algorithm 4).
 
-use crate::graph::{Color, Coloring, Hypergraph, VertexId};
+use crate::graph::{Color, Coloring, EdgeId, Hypergraph, VertexId};
 
 /// A generation-stamped forbidden-color set: `mark`/`is_marked` are O(1)
 /// array reads and "clearing" between vertices is a stamp increment — no
 /// per-vertex hashing or `HashSet` churn on the coloring hot path. Colors
 /// index candidate FK values, so they are dense small integers; the array
-/// grows to the largest color actually forbidden.
+/// grows to the largest color actually forbidden. Color `c` lives in slot
+/// `c + 1`; slot 0 absorbs marks of "no color", so the kernels mark an
+/// `Option<Color>` without branching on it — whether a partner is colored
+/// yet is a coin flip mid-coloring, and mispredicting that branch cost
+/// about two thirds of the pair loop's time.
 struct ForbiddenSet {
     stamp_of: Vec<u32>,
     stamp: u32,
@@ -39,8 +43,10 @@ impl ForbiddenSet {
         }
     }
 
-    fn mark(&mut self, c: Color) {
-        let i = c as usize;
+    /// Forbids `c`; `None` is a no-op.
+    #[inline]
+    fn mark(&mut self, c: Option<Color>) {
+        let i = c.map_or(0, |c| c as usize + 1);
         if i >= self.stamp_of.len() {
             self.stamp_of.resize(i + 1, 0);
         }
@@ -48,7 +54,7 @@ impl ForbiddenSet {
     }
 
     fn is_marked(&self, c: Color) -> bool {
-        self.stamp_of.get(c as usize) == Some(&self.stamp)
+        self.stamp_of.get(c as usize + 1) == Some(&self.stamp)
     }
 }
 
@@ -79,7 +85,9 @@ impl CandidateLists<'_> {
 /// in processing order.
 ///
 /// Matches Algorithm 3: already-colored vertices are left untouched; each
-/// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped.
+/// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped. A shared
+/// list that is sorted ascending (Phase II always passes `0..n`) takes its
+/// first permitted color instead of scanning the whole list for the minimum.
 pub fn coloring_lf(
     g: &Hypergraph,
     coloring: &mut Coloring,
@@ -96,20 +104,23 @@ pub fn coloring_lf(
         .into_iter()
         .filter(|&v| !coloring.is_colored(v))
         .collect();
+    let sorted_shared = match candidates {
+        CandidateLists::Shared(l) => l.is_sorted(),
+        CandidateLists::PerVertex(_) => false,
+    };
     let mut forbidden = ForbiddenSet::new();
     for v in order {
-        forbidden.next_vertex();
-        for &e in g.incident_edges(v) {
-            if let Some(c) = lone_uncolored_color(g, coloring, e, v) {
-                forbidden.mark(c);
-            }
-        }
-        let choice = candidates
+        mark_forbidden(g, coloring, v, &mut forbidden);
+        let mut permitted = candidates
             .get(v)
             .iter()
             .copied()
-            .filter(|&c| !forbidden.is_marked(c))
-            .min();
+            .filter(|&c| !forbidden.is_marked(c));
+        let choice = if sorted_shared {
+            permitted.next()
+        } else {
+            permitted.min()
+        };
         match choice {
             Some(c) => coloring.set(v, c),
             None => skipped.push(v),
@@ -118,12 +129,31 @@ pub fn coloring_lf(
     skipped
 }
 
+/// Starts a fresh forbidden set for `v` and marks every color that would
+/// make an incident edge monochromatic: a pair partner's color, the shared
+/// color of an arity-3 edge's two other members, and the lone color of a
+/// wider edge whose other members are all colored alike.
+fn mark_forbidden(g: &Hypergraph, coloring: &Coloring, v: VertexId, forbidden: &mut ForbiddenSet) {
+    forbidden.next_vertex();
+    let m = g.co_members(v);
+    for &u in m.pairs {
+        forbidden.mark(coloring.get(u));
+    }
+    for &[a, b] in m.triples {
+        let (ca, cb) = (coloring.get(a), coloring.get(b));
+        forbidden.mark(if ca == cb { ca } else { None });
+    }
+    for &e in m.wide {
+        forbidden.mark(lone_uncolored_color(g, coloring, e, v));
+    }
+}
+
 /// If every vertex of `e` other than `v` is colored and they all share one
 /// color, returns that color (it is forbidden for `v`).
 fn lone_uncolored_color(
     g: &Hypergraph,
     coloring: &Coloring,
-    e: crate::graph::EdgeId,
+    e: EdgeId,
     v: VertexId,
 ) -> Option<Color> {
     let mut color: Option<Color> = None;
@@ -149,7 +179,7 @@ fn lone_uncolored_color(
 /// Returns the fresh colors actually used, in allocation order.
 ///
 /// Per vertex this is `O(degree + |fresh|)`: the forbidden colors are
-/// collected in one pass over the incident edges, then the first
+/// collected in one pass over the co-member lists, then the first
 /// non-forbidden fresh color is taken (cliques of skipped vertices would
 /// otherwise cost `O(|skipped|² · degree)`).
 pub fn color_skipped_with_fresh(
@@ -161,12 +191,7 @@ pub fn color_skipped_with_fresh(
     let mut fresh: Vec<Color> = Vec::new();
     let mut forbidden = ForbiddenSet::new();
     for &v in skipped {
-        forbidden.next_vertex();
-        for &e in g.incident_edges(v) {
-            if let Some(c) = lone_uncolored_color(g, coloring, e, v) {
-                forbidden.mark(c);
-            }
-        }
+        mark_forbidden(g, coloring, v, &mut forbidden);
         let reuse = fresh.iter().copied().find(|&c| !forbidden.is_marked(c));
         let c = reuse.unwrap_or_else(|| {
             let c = next_color + fresh.len() as Color;

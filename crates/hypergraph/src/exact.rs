@@ -88,30 +88,22 @@ fn dfs(
             Dfs::Exhausted => {}
         }
         // Un-assign on backtrack.
-        uncolor(coloring, v);
+        coloring.unset(v);
     }
     Dfs::Exhausted
 }
 
-fn uncolor(coloring: &mut Coloring, v: VertexId) {
-    // Coloring has no public unset; rebuild via set-to-None semantics.
-    // We keep this private helper here rather than widening the public API.
-    coloring.unset(v);
-}
-
+/// `true` if coloring `v` with `c` completes a monochromatic edge: a pair
+/// partner, both other members of an arity-3 edge, or every other member of
+/// a wider edge already has color `c`.
 fn creates_monochromatic(g: &Hypergraph, coloring: &Coloring, v: VertexId, c: Color) -> bool {
-    'edges: for &e in g.incident_edges(v) {
-        for &u in g.edge(e) {
-            if u == v {
-                continue;
-            }
-            if coloring.get(u) != Some(c) {
-                continue 'edges;
-            }
-        }
-        return true;
-    }
-    false
+    let m = g.co_members(v);
+    let has_c = |u: VertexId| coloring.get(u) == Some(c);
+    m.pairs.iter().any(|&u| has_c(u))
+        || m.triples.iter().any(|&[a, b]| has_c(a) && has_c(b))
+        || m.wide
+            .iter()
+            .any(|&e| g.edge(e).iter().all(|&u| u == v || has_c(u)))
 }
 
 #[cfg(test)]

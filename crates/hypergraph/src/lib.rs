@@ -7,14 +7,13 @@
 //! coloring (≥ 2 colors inside every edge) is exactly a DC-satisfying
 //! assignment (Proposition 5.2).
 //!
-//! - [`Hypergraph`], [`Coloring`] — the graph model with dedup and degrees.
+//! - [`Hypergraph`], [`Coloring`] — the graph model with dedup, degrees and
+//!   the co-member incidence index the kernels read.
 //! - [`coloring_lf`] — greedy largest-first list coloring (Algorithm 3).
 //! - [`color_skipped_with_fresh`] — minting the fewest fresh colors for
 //!   skipped vertices (lines 11–14 of Algorithm 4).
 //! - [`exact_list_coloring`] — backtracking exact solver for validation,
 //!   ablations and the NAE-3SAT completeness tests.
-//! - [`connected_components`], [`graph_stats`] — partitioning (§5.2, §A.3)
-//!   and "good vs bad DC" diagnostics.
 //!
 //! ```
 //! use cextend_hypergraph::{coloring_lf, CandidateLists, Coloring, Hypergraph};
@@ -32,15 +31,13 @@
 #![warn(missing_docs)]
 
 mod coloring;
-mod components;
 mod exact;
 mod graph;
-mod stats;
+#[cfg(test)]
+mod reference;
 
 pub use coloring::{color_skipped_with_fresh, coloring_lf, CandidateLists};
-pub use components::connected_components;
 pub use exact::{exact_list_coloring, ExactResult};
 pub use graph::{
     edge_is_monochromatic, is_proper_complete, Color, Coloring, EdgeId, Hypergraph, VertexId,
 };
-pub use stats::{graph_stats, is_clique, GraphStats};

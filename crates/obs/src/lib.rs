@@ -700,6 +700,9 @@ mod tests {
 
     #[test]
     fn stage_guard_times_into_frame() {
+        // The guard also emits a span whenever recording is on, which would
+        // land in a concurrently recording test's trace.
+        let _lock = recording_lock();
         let f = frame();
         {
             let _g = stage("coloring");
